@@ -111,7 +111,8 @@ memImage(const Kernel &kernel, size_t mem_bytes)
     memory::MainMemory scratch(mem_bytes);
     kernel.init(scratch);
     std::vector<std::pair<uint64_t, uint64_t>> image;
-    for (uint64_t addr = 0; addr < scratch.size(); addr += 8) {
+    for (uint64_t addr = scratch.writtenBegin();
+         addr < scratch.writtenEnd(); addr += 8) {
         const uint64_t word = scratch.read64(addr);
         if (word != 0)
             image.emplace_back(addr, word);

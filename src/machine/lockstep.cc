@@ -1,5 +1,6 @@
 #include "machine/lockstep.hh"
 
+#include <algorithm>
 #include <string>
 
 #include "common/log.hh"
@@ -58,9 +59,11 @@ void
 LockstepChecker::arm()
 {
     interp_.loadProgram(machine_.program());
-    memory::MainMemory &src = machine_.mem();
+    const memory::MainMemory &src = machine_.mem();
     memory::MainMemory &dst = interp_.mem();
-    for (uint64_t addr = 0; addr < src.size(); addr += 8)
+    dst.clear();
+    for (uint64_t addr = src.writtenBegin(); addr < src.writtenEnd();
+         addr += 8)
         dst.write64(addr, src.read64(addr));
     // Setup hooks may preload registers before run() (e.g. a graphics
     // matrix in f0..f15); mirror them into the shadow.
@@ -201,9 +204,12 @@ LockstepChecker::compareFinalState(uint64_t cycles)
     if (have_elems != interp_.fpElements())
         add("fp-element-count", have_elems, interp_.fpElements());
 
-    memory::MainMemory &a = machine_.mem();
-    memory::MainMemory &b = interp_.mem();
-    for (uint64_t addr = 0; addr < a.size(); addr += 8) {
+    // Words outside both written extents are zero on both sides.
+    const memory::MainMemory &a = machine_.mem();
+    const memory::MainMemory &b = interp_.mem();
+    const uint64_t end = std::max(a.writtenEnd(), b.writtenEnd());
+    for (uint64_t addr = std::min(a.writtenBegin(), b.writtenBegin());
+         addr < end; addr += 8) {
         const uint64_t have = a.read64(addr);
         const uint64_t want = b.read64(addr);
         if (have != want)

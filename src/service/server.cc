@@ -228,6 +228,7 @@ SimServer::recoverJournal()
             entry.id = rec.id;
             entry.pure = spec.pure();
             entry.job = spec.resolve();
+            entry.name = entry.job->name;
             entry.specJson = rec.specJson;
             entry.idemKey = rec.idemKey;
             entry.cancel = std::make_shared<std::atomic<bool>>(false);
@@ -425,7 +426,8 @@ SimServer::workerLoop()
                 // worker on an answer nobody will read — the
                 // backpressure story, applied at dequeue time.
                 entry.state = JobState::Done;
-                entry.result.name = entry.job.name;
+                entry.job.reset();
+                entry.result.name = entry.name;
                 entry.result.ok = false;
                 entry.result.error =
                     "deadline expired before execution (shed)";
@@ -437,7 +439,10 @@ SimServer::workerLoop()
                 continue;
             }
             entry.state = JobState::Running;
-            job = entry.job; // copy: simulate outside the lock
+            // Take the job: it is simulated outside the lock and
+            // released when this iteration ends.
+            job = std::move(*entry.job);
+            entry.job.reset();
             specJson = entry.specJson;
             pure = entry.pure;
             cancel = entry.cancel;
@@ -754,6 +759,7 @@ SimServer::cmdSubmit(const json::Value &req, const Conn &conn)
     Job entry;
     entry.pure = spec.pure();
     entry.job = spec.resolve(); // throws on bad programs: caught above
+    entry.name = entry.job->name;
     entry.specJson = spec.to_json();
     entry.clientId = conn.id;
     entry.cancel = std::make_shared<std::atomic<bool>>(false);
@@ -829,6 +835,17 @@ SimServer::cmdSubmit(const json::Value &req, const Conn &conn)
     });
 }
 
+size_t
+SimServer::heldJobs()
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    size_t held = 0;
+    for (const auto &[id, entry] : jobs_)
+        if (entry.job)
+            ++held;
+    return held;
+}
+
 std::string
 SimServer::cmdStatus(const json::Value &req)
 {
@@ -842,7 +859,7 @@ SimServer::cmdStatus(const json::Value &req)
         return okResponse([&](json::Writer &w) {
             w.key("id").value(id);
             w.key("state").value(jobStateName(entry.state));
-            w.key("name").value(entry.job.name);
+            w.key("name").value(entry.name);
             w.key("pure").value(entry.pure);
         });
     }
@@ -925,6 +942,7 @@ SimServer::cmdCancel(const json::Value &req)
     bool cancelled = false;
     if (it->second.state == JobState::Queued) {
         it->second.state = JobState::Cancelled;
+        it->second.job.reset();
         cancelled = true;
         // Never ran, never will: retire it from the journal now, or a
         // restart would resurrect a job its owner explicitly killed.

@@ -229,6 +229,10 @@ class SimServer
     /** The worker pool, for tests; nullptr in in-process mode. */
     WorkerPool *pool() { return pool_.get(); }
 
+    /** Jobs still holding their resolved SimJob (queued, not yet
+     *  taken by a worker), for tests. */
+    size_t heldJobs();
+
     /** Bound TCP port after start(); 0 when no TCP listener. The way
      *  tests and tools discover an ephemeral ":0" bind. */
     uint16_t tcpPort() const { return tcpPort_; }
@@ -239,7 +243,12 @@ class SimServer
         uint64_t id = 0;
         JobState state = JobState::Queued;
         bool pure = false;
-        machine::SimJob job;        // resolved, ready to run
+        std::string name;
+        /** The resolved job while it waits in the queue. The worker
+         *  that runs it takes it, and a cancel or a shed drops it: a
+         *  finished job keeps only its name, state, result and spec,
+         *  not its program and data image. */
+        std::optional<machine::SimJob> job;
         std::string specJson;       // wire form, for journal and pool
         /** Client idempotency key; empty = none. Indexed by
          *  idemIndex_ so a retried submit replays the original id. */

@@ -401,7 +401,9 @@ WorkerPool::attempt(Slot &slot, const PoolJob &job,
             std::lock_guard<std::mutex> lock(mutex_);
             slot.worker = std::move(fresh);
             if (up) {
-                respawns_.fetch_add(1, std::memory_order_relaxed);
+                if (slot.spawned)
+                    respawns_.fetch_add(1, std::memory_order_relaxed);
+                slot.spawned = true;
                 // A worker spawned after stop()'s sweep must not
                 // escape it: interrupt now so shutdown abandons the
                 // job instead of waiting it out.

@@ -214,6 +214,9 @@ class WorkerPool
          *  (job timeout or cancel), not worker ill health: the next
          *  respawn skips the crash streak and its backoff sleep. */
         bool deliberateKill = false;
+        /** A worker has come up on this slot before: the next
+         *  successful spawn replaces it and counts as a respawn. */
+        bool spawned = false;
     };
 
     /** Acquire a free slot index (blocking); -1 when stopping. */

@@ -772,6 +772,46 @@ TEST(SimServer, CancelsQueuedJobBehindLongRun)
     const machine::SimJobResult guard = client.result(longId, true);
     EXPECT_FALSE(guard.ok);
     EXPECT_EQ(guard.stats.status, machine::RunStatus::CycleGuard);
+    // Neither the cancelled job nor the finished one holds its
+    // resolved program any more.
+    EXPECT_EQ(server.heldJobs(), 0u);
+    client.shutdown();
+}
+
+TEST(SimServer, ReleasedJobsStillAnswerStatusResultAndReplay)
+{
+    // A finished job gives up its resolved SimJob (program and data
+    // image); its name, state, result and idempotency entry stay, so
+    // every later query answers as before.
+    TempDir dir("daemon_release");
+    service::ServerConfig config;
+    config.socketPath = dir.file("sim.sock");
+    config.threads = 1;
+    service::SimServer server(config);
+    server.start();
+
+    service::SimClient client(config.socketPath);
+    service::JobSpec spec;
+    spec.name = "released";
+    spec.kind = service::JobKind::Kernel;
+    spec.kernel = "lfk01:vector";
+    const uint64_t id = client.submit(spec, "release-key");
+    const machine::SimJobResult first = client.result(id, true);
+    ASSERT_TRUE(first.ok) << first.error;
+    EXPECT_EQ(server.heldJobs(), 0u);
+
+    EXPECT_EQ(client.status(id), "done");
+    const machine::SimJobResult again = client.result(id, true);
+    EXPECT_EQ(again.name, "released");
+    EXPECT_TRUE(again.ok);
+    EXPECT_TRUE(again.stats == first.stats);
+
+    // The retried submit replays the original id and runs nothing.
+    EXPECT_EQ(client.submit(spec, "release-key"), id);
+    EXPECT_EQ(server.heldJobs(), 0u);
+    const service::SimClient::Health health = client.health();
+    EXPECT_EQ(health.done, 1u);
+    EXPECT_EQ(health.queued, 0u);
     client.shutdown();
 }
 

@@ -185,6 +185,14 @@ struct FlagCase
     bool overflow, underflow, inexact, invalid, divByZero;
 };
 
+// Print the case by name: gtest's default byte dump would include the
+// `name` pointer, so the listed test names would change every run.
+void
+PrintTo(const FlagCase &c, std::ostream *os)
+{
+    *os << c.name;
+}
+
 class FlagTable : public ::testing::TestWithParam<FlagCase>
 {
 };

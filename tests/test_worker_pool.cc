@@ -290,6 +290,8 @@ TEST(WorkerPool, CrashingJobRetriedThenQuarantinedWithSignalReport)
     EXPECT_NE(report.find("\"attempts\":2"), std::string::npos);
 
     EXPECT_GE(server.pool()->crashes(), 2u);
+    // Each crash replaced a live worker, so the respawns count them.
+    EXPECT_GE(client.health().workerRespawns, 1u);
     client.shutdown();
 }
 
@@ -342,8 +344,11 @@ TEST(WorkerPool, SweepThroughPoolBitIdenticalToInprocess)
         EXPECT_EQ(r.ok, reference[i].ok);
         EXPECT_TRUE(r.stats == reference[i].stats);
     }
-    // Healthy sweep: nothing crashed, the initial spawns were all.
+    // Healthy sweep: nothing crashed, the initial spawns were all,
+    // and a slot's first worker is a spawn, not a respawn.
     EXPECT_EQ(server.pool()->crashes(), 0u);
+    EXPECT_EQ(client.health().workerRespawns, 0u);
+    EXPECT_EQ(server.pool()->respawns(), 0u);
     client.shutdown();
 }
 
