@@ -7,8 +7,8 @@
  *
  * Usage:
  *   mtfpu-cli serve [--socket=PATH] [--listen=HOST:PORT] [--threads=N]
- *                   [--cache-dir=DIR] [--crash-dir=DIR] [--no-memoize]
- *                   [--inproc] [--worker=PATH] [--journal=PATH]
+ *                   [--cache-dir=DIR] [--crash-dir=DIR] [--inproc]
+ *                   [--worker=PATH] [--journal=PATH]
  *                   [--job-timeout-ms=N] [--hb-timeout-ms=N]
  *                   [--rlimit-cpu=SECONDS] [--rlimit-as-mb=MB]
  *                   [--max-queue=N] [--max-inflight=N]
@@ -20,7 +20,7 @@
  *   mtfpu-cli submit <addr> --spec=FILE [--no-wait] [--deadline=SECS]
  *   mtfpu-cli sweep <addr> --specs=FILE [--wait-timeout=SECS]
  *                   [--deadline=SECS]
- *   mtfpu-cli status <addr> [--id=N]
+ *   mtfpu-cli status <addr> --id=N
  *   mtfpu-cli result <addr> --id=N [--no-wait]
  *   mtfpu-cli cancel <addr> --id=N
  *   mtfpu-cli drain <addr> [--resume]
@@ -167,8 +167,6 @@ cmdServe(const std::string &socket, const std::string &listen, int argc,
             config.cacheDir = value;
         else if (flagValue(argv[i], "--crash-dir", value))
             config.crashDir = value;
-        else if (std::strcmp(argv[i], "--no-memoize") == 0)
-            config.memoize = false;
         else if (std::strcmp(argv[i], "--inproc") == 0)
             config.inproc = true;
         else if (flagValue(argv[i], "--worker", value))
@@ -421,34 +419,8 @@ main(int argc, char **argv)
             return cmdSweep(client, specs, wait_timeout_ms, deadline_ms);
         }
         if (cmd == "status") {
-            if (id_text.empty()) {
-                const json::Value response = client.request(
-                    "{\"cmd\":\"status\"}");
-                std::printf("jobs=%llu queued=%llu running=%llu "
-                            "done=%llu cancelled=%llu\n",
-                            static_cast<unsigned long long>(
-                                response.at("jobs").asUint()),
-                            static_cast<unsigned long long>(
-                                response.at("queued").asUint()),
-                            static_cast<unsigned long long>(
-                                response.at("running").asUint()),
-                            static_cast<unsigned long long>(
-                                response.at("done").asUint()),
-                            static_cast<unsigned long long>(
-                                response.at("cancelled").asUint()));
-                if (response.has("isolated")) {
-                    std::printf(
-                        "isolated=%s draining=%s worker_crashes=%llu "
-                        "worker_respawns=%llu\n",
-                        response.at("isolated").asBool() ? "yes" : "no",
-                        response.at("draining").asBool() ? "yes" : "no",
-                        static_cast<unsigned long long>(
-                            response.at("worker_crashes").asUint()),
-                        static_cast<unsigned long long>(
-                            response.at("worker_respawns").asUint()));
-                }
-                return 0;
-            }
+            if (id_text.empty())
+                return usage();
             std::printf("%s\n",
                         client.status(std::stoull(id_text)).c_str());
             return 0;

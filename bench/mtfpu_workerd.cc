@@ -113,9 +113,12 @@ workerMain(bool crash_hooks)
         if (parsed && crash_hooks &&
             spec.name.rfind("crash:", 0) == 0) {
             const std::string mode = spec.name.substr(6);
-            if (mode == "segv")
+            if (mode == "segv") {
+                // Die by the signal even under a sanitizer runtime,
+                // whose own SIGSEGV handler would exit with a code.
+                std::signal(SIGSEGV, SIG_DFL);
                 std::raise(SIGSEGV);
-            else if (mode == "abort")
+            } else if (mode == "abort")
                 std::abort();
             else if (mode == "exit")
                 ::_exit(3);

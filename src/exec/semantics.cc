@@ -22,9 +22,7 @@ evalAlu(isa::AluFunc func, uint64_t a, uint64_t b)
       case AluFunc::Slt:
         return static_cast<int64_t>(a) < static_cast<int64_t>(b) ? 1 : 0;
       case AluFunc::Sltu: return a < b ? 1 : 0;
-      case AluFunc::Mul:
-        return static_cast<uint64_t>(static_cast<int64_t>(a) *
-                                     static_cast<int64_t>(b));
+      case AluFunc::Mul: return a * b; // low 64 bits, sign-agnostic
     }
     panic("evalAlu: bad function");
 }

@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <cstring>
-#include <new>
 #include <utility>
 
 #include <sys/mman.h>
@@ -23,7 +22,8 @@ MainMemory::MainMemory(size_t size)
                               MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE,
                               -1, 0);
     if (region == MAP_FAILED)
-        throw std::bad_alloc();
+        fatal(ErrCode::MemRange, "cannot map " + std::to_string(size) +
+                                     " bytes of main memory");
     data_ = static_cast<uint64_t *>(region);
 }
 

@@ -29,7 +29,7 @@ class MainMemory
 {
   public:
     /** Create a memory of @p size bytes (default 4 MB), all zero.
-     *  Throws std::bad_alloc when the region cannot be mapped. */
+     *  Throws SimError(MemRange) when the region cannot be mapped. */
     explicit MainMemory(size_t size = 4u << 20);
     ~MainMemory();
 

@@ -143,9 +143,14 @@ ChaosProxy::runRelay(std::shared_ptr<Relay> relay, uint64_t conn_index)
     pump(relay, relay->clientFd, relay->upstreamFd, conn_index, 0);
     relay->tear();
     downstream.join();
+    // Under mutex_, like stop()'s tear(): stop() must never shut down
+    // an fd this thread already closed and the process may have
+    // reused.
+    std::lock_guard<std::mutex> lock(mutex_);
     ::close(relay->clientFd);
     ::close(relay->upstreamFd);
     relay->clientFd = relay->upstreamFd = -1;
+    std::erase(relays_, relay);
 }
 
 void

@@ -139,7 +139,8 @@ class ChaosProxy
     std::thread acceptThread_;
     std::vector<std::thread> relayThreads_;
 
-    std::mutex mutex_; // guards relays_, relayThreads_, stopping_
+    /** Guards relays_ and their fds' close, relayThreads_, stopping_. */
+    std::mutex mutex_;
     std::vector<std::shared_ptr<Relay>> relays_;
     bool stopping_ = false;
 

@@ -86,46 +86,17 @@ SimClient::reconnect()
 void
 SimClient::handshake()
 {
-    proto_ = 1;
-    features_.clear();
-    const std::string hello =
-        simpleRequest("hello", [&](json::Writer &w) {
+    // One protocol revision: a daemon that refuses it, or a hello that
+    // fails any other way, leaves this client nothing to talk to.
+    try {
+        request(simpleRequest("hello", [](json::Writer &w) {
             w.key("proto").value(static_cast<uint64_t>(kProtoRevision));
-            w.key("min_proto").value(static_cast<uint64_t>(1));
             w.key("client").value("mtfpu-client");
-        });
-    if (!channel_->writeLine(hello))
-        fatal(ErrCode::Io, "service client: connection lost during hello");
-    std::string line;
-    if (!channel_->readLine(line))
-        fatal(ErrCode::Io, "service client: connection lost during hello");
-    const json::Value response = json::parse(line);
-    if (!response.isObject() || !response.has("ok"))
-        fatal(ErrCode::Io, "service client: malformed hello response");
-    if (!response.at("ok").asBool()) {
-        // A daemon that negotiates refuses with "unsupported-proto";
-        // a legacy daemon just doesn't know the command. The latter
-        // is fine — serve it at revision 1 with no features.
-        if (response.has("error_code") &&
-            response.at("error_code").asString() == "unsupported-proto") {
-            fatal(ErrCode::Io,
-                  "daemon: " + response.at("error").asString());
-        }
-        return;
+        }));
+    } catch (const SimError &err) {
+        fatal(ErrCode::Io,
+              std::string("service client: hello failed: ") + err.what());
     }
-    proto_ = static_cast<int>(response.at("proto").asUint());
-    if (response.has("features"))
-        for (const json::Value &f : response.at("features").asArray())
-            features_.push_back(f.asString());
-}
-
-bool
-SimClient::hasFeature(const std::string &feature) const
-{
-    for (const std::string &f : features_)
-        if (f == feature)
-            return true;
-    return false;
 }
 
 json::Value
@@ -194,7 +165,6 @@ SimClient::submit(const JobSpec &spec, const std::string &idem_key,
     const json::Value response =
         request(simpleRequest("submit", [&](json::Writer &w) {
             w.key("spec").raw(spec_json);
-            // Additive fields: a legacy daemon ignores unknown keys.
             if (!idem_key.empty())
                 w.key("idem_key").value(idem_key);
             if (deadline_ms > 0)
@@ -285,7 +255,6 @@ SimClient::resultWait(uint64_t id, uint64_t timeout_ms)
 {
     const auto deadline = std::chrono::steady_clock::now() +
                           std::chrono::milliseconds(timeout_ms);
-    const bool longPoll = hasFeature("long-poll");
     for (;;) {
         const auto now = std::chrono::steady_clock::now();
         if (now >= deadline) {
@@ -299,29 +268,19 @@ SimClient::resultWait(uint64_t id, uint64_t timeout_ms)
                 deadline - now)
                 .count());
         try {
-            if (longPoll) {
-                // Block server-side in bounded windows: the daemon
-                // parks the connection on its result condvar instead
-                // of us burning a round trip every 50ms. Bounded so a
-                // daemon that wedges can't hold us past our budget.
-                const uint64_t window = std::min<uint64_t>(
-                    std::max<uint64_t>(remaining, 1), 2000);
-                const json::Value response = request(
-                    simpleRequest("result", [&](json::Writer &w) {
-                        w.key("id").value(id);
-                        w.key("wait_ms").value(window);
-                    }));
-                const std::string state =
-                    response.at("state").asString();
-                if (state == "done" || state == "cancelled")
-                    return decodeResult(response);
-            } else {
-                const std::string state = status(id);
-                if (state == "done" || state == "cancelled")
-                    return result(id, false);
-                std::this_thread::sleep_for(
-                    std::chrono::milliseconds(50));
-            }
+            // Block server-side in bounded windows: the daemon parks
+            // the connection on its result condvar. Bounded so a
+            // daemon that wedges can't hold us past our budget.
+            const uint64_t window = std::min<uint64_t>(
+                std::max<uint64_t>(remaining, 1), 2000);
+            const json::Value response =
+                request(simpleRequest("result", [&](json::Writer &w) {
+                    w.key("id").value(id);
+                    w.key("wait_ms").value(window);
+                }));
+            const std::string state = response.at("state").asString();
+            if (state == "done" || state == "cancelled")
+                return decodeResult(response);
         } catch (const SimError &) {
             // Result fetches are read-only, so a redial-and-reissue
             // is always safe. Anything other than a torn connection

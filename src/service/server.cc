@@ -15,12 +15,6 @@ namespace mtfpu::service
 namespace
 {
 
-/** Feature flags advertised to revision-2 peers by hello
- *  (revisions live in server.hh so the client shares them). */
-constexpr const char *kFeatures[] = {
-    "handshake", "idempotency", "deadline", "long-poll", "health",
-};
-
 /**
  * Locate the worker binary next to the running executable — the
  * install layout for both the build tree (build/bench/) and any flat
@@ -156,7 +150,7 @@ statsFromHex(const std::string &hex)
 }
 
 SimServer::SimServer(ServerConfig config)
-    : config_(std::move(config)), driver_(1, config_.memoize)
+    : config_(std::move(config)), driver_(1)
 {
     startTime_ = std::chrono::steady_clock::now();
     if (config_.socketPath.empty() && config_.listenAddr.empty())
@@ -522,11 +516,11 @@ SimServer::handleConnection(int fd)
     channel.setMaxLineBytes(config_.maxLineBytes);
     if (config_.writeTimeoutMs > 0)
         channel.setWriteTimeout(static_cast<int>(config_.writeTimeoutMs));
-    Conn conn;
+    uint64_t connId = 0;
     {
         std::lock_guard<std::mutex> lock(mutex_);
         connFds_.push_back(fd);
-        conn.id = nextConnId_++;
+        connId = nextConnId_++;
     }
     const int idle = config_.idleTimeoutMs > 0
                          ? static_cast<int>(config_.idleTimeoutMs)
@@ -558,7 +552,7 @@ SimServer::handleConnection(int fd)
         }
         if (status != LineChannel::ReadStatus::Line)
             break; // EOF or read error
-        const std::string response = handleRequest(line, conn);
+        const std::string response = handleRequest(line, connId);
         if (!channel.writeLine(response))
             break;
         // A shutdown request stops the server after the reply is on
@@ -579,7 +573,7 @@ SimServer::handleConnection(int fd)
 }
 
 std::string
-SimServer::handleRequest(const std::string &line, Conn &conn)
+SimServer::handleRequest(const std::string &line, uint64_t conn_id)
 {
     try {
         const json::Value req = json::parse(line);
@@ -587,13 +581,13 @@ SimServer::handleRequest(const std::string &line, Conn &conn)
             return errorResponse("request must be an object with 'cmd'");
         const std::string cmd = req.at("cmd").asString();
         if (cmd == "hello")
-            return cmdHello(req, conn);
+            return cmdHello(req);
         if (cmd == "ping")
             return cmdPing();
         if (cmd == "health")
             return cmdHealth();
         if (cmd == "submit")
-            return cmdSubmit(req, conn);
+            return cmdSubmit(req, conn_id);
         if (cmd == "status")
             return cmdStatus(req);
         if (cmd == "result")
@@ -623,54 +617,26 @@ SimServer::handleRequest(const std::string &line, Conn &conn)
 }
 
 std::string
-SimServer::cmdHello(const json::Value &req, Conn &conn)
+SimServer::cmdHello(const json::Value &req)
 {
-    // The versioned handshake (DESIGN.md §13.2). The peer states the
-    // highest revision it speaks (and optionally the lowest it will
-    // accept); the server negotiates down to the common revision or
-    // rejects with a structured error — never silently misparses.
+    // The version check (DESIGN.md §13.2): one revision is spoken, and
+    // a peer naming any other gets a structured error rather than a
+    // silent misparse. The connection stays open either way.
     if (!req.has("proto"))
         return errorResponse("hello needs a numeric 'proto'",
                              errCodeName(ErrCode::BadOperand));
-    const int peer = static_cast<int>(req.at("proto").asUint());
-    const int peerMin = req.has("min_proto")
-                            ? static_cast<int>(req.at("min_proto").asUint())
-                            : 1;
-    if (peer < 1)
-        return errorResponse("hello proto must be >= 1",
-                             errCodeName(ErrCode::BadOperand));
-    const int negotiated = std::min(peer, kProtoRevision);
-    if (negotiated < kProtoMin || negotiated < peerMin) {
-        json::Writer w;
-        w.beginObject();
-        w.key("ok").value(false);
-        w.key("error").value(
-            "no common protocol revision (server speaks " +
-            std::to_string(kProtoMin) + ".." +
-            std::to_string(kProtoRevision) + ", peer wants " +
-            std::to_string(peerMin) + ".." + std::to_string(peer) + ")");
-        w.key("error_code").value("unsupported-proto");
-        w.key("proto_min").value(static_cast<uint64_t>(kProtoMin));
-        w.key("proto_max").value(static_cast<uint64_t>(kProtoRevision));
-        w.endObject();
-        return w.str();
+    const uint64_t peer = req.at("proto").asUint();
+    if (peer != static_cast<uint64_t>(kProtoRevision)) {
+        return errorResponse(
+            "unsupported protocol revision " + std::to_string(peer) +
+                " (server speaks " + std::to_string(kProtoRevision) + ")",
+            "unsupported-proto");
     }
-    conn.proto = negotiated;
-    conn.saidHello = true;
     return okResponse([&](json::Writer &w) {
-        w.key("proto").value(static_cast<uint64_t>(negotiated));
+        w.key("proto").value(peer);
         w.key("server").value("mtfpu-simserver");
         w.key("version").value(std::to_string(kProtoRevision));
-        // Feature vocabulary exists only from revision 2 on; a
-        // revision-1 peer gets no key at all rather than an empty
-        // list it has no business parsing.
-        if (negotiated >= 2) {
-            w.key("features").beginArray();
-            for (const char *feature : kFeatures)
-                w.value(feature);
-            w.endArray();
-        }
-        // Negotiated limits: what this connection may send and expect.
+        // Limits: what this connection may send and expect.
         w.key("max_line_bytes")
             .value(static_cast<uint64_t>(config_.maxLineBytes));
         w.key("idle_timeout_ms").value(config_.idleTimeoutMs);
@@ -751,7 +717,7 @@ SimServer::cmdHealth()
 }
 
 std::string
-SimServer::cmdSubmit(const json::Value &req, const Conn &conn)
+SimServer::cmdSubmit(const json::Value &req, uint64_t conn_id)
 {
     if (!req.has("spec"))
         return errorResponse("submit needs a 'spec' object");
@@ -761,7 +727,7 @@ SimServer::cmdSubmit(const json::Value &req, const Conn &conn)
     entry.job = spec.resolve(); // throws on bad programs: caught above
     entry.name = entry.job->name;
     entry.specJson = spec.to_json();
-    entry.clientId = conn.id;
+    entry.clientId = conn_id;
     entry.cancel = std::make_shared<std::atomic<bool>>(false);
     if (req.has("idem_key"))
         entry.idemKey = req.at("idem_key").asString();
@@ -803,10 +769,10 @@ SimServer::cmdSubmit(const json::Value &req, const Conn &conn)
                                     100 + 25 * (queue_.size() -
                                                 config_.maxQueue + 1));
             }
-            if (config_.maxInflightPerClient > 0 && conn.id != 0) {
+            if (config_.maxInflightPerClient > 0 && conn_id != 0) {
                 size_t inflight = 0;
                 for (const auto &[jid, j] : jobs_) {
-                    if (j.clientId == conn.id &&
+                    if (j.clientId == conn_id &&
                         (j.state == JobState::Queued ||
                          j.state == JobState::Running))
                         ++inflight;
@@ -849,41 +815,21 @@ SimServer::heldJobs()
 std::string
 SimServer::cmdStatus(const json::Value &req)
 {
+    // One job's state; the daemon-wide census is `health`.
+    if (!req.has("id"))
+        return errorResponse("status needs an 'id' (the census is 'health')",
+                             errCodeName(ErrCode::BadOperand));
+    const uint64_t id = req.at("id").asUint();
     std::lock_guard<std::mutex> lock(mutex_);
-    if (req.has("id")) {
-        const uint64_t id = req.at("id").asUint();
-        const auto it = jobs_.find(id);
-        if (it == jobs_.end())
-            return errorResponse("no job " + std::to_string(id));
-        const Job &entry = it->second;
-        return okResponse([&](json::Writer &w) {
-            w.key("id").value(id);
-            w.key("state").value(jobStateName(entry.state));
-            w.key("name").value(entry.name);
-            w.key("pure").value(entry.pure);
-        });
-    }
-    uint64_t queued = 0, running = 0, done = 0, cancelled = 0;
-    for (const auto &[id, entry] : jobs_) {
-        switch (entry.state) {
-          case JobState::Queued: ++queued; break;
-          case JobState::Running: ++running; break;
-          case JobState::Done: ++done; break;
-          case JobState::Cancelled: ++cancelled; break;
-        }
-    }
+    const auto it = jobs_.find(id);
+    if (it == jobs_.end())
+        return errorResponse("no job " + std::to_string(id));
+    const Job &entry = it->second;
     return okResponse([&](json::Writer &w) {
-        w.key("jobs").value(static_cast<uint64_t>(jobs_.size()));
-        w.key("queued").value(queued);
-        w.key("running").value(running);
-        w.key("done").value(done);
-        w.key("cancelled").value(cancelled);
-        w.key("draining").value(draining_);
-        w.key("isolated").value(pool_ != nullptr);
-        if (pool_) {
-            w.key("worker_crashes").value(pool_->crashes());
-            w.key("worker_respawns").value(pool_->respawns());
-        }
+        w.key("id").value(id);
+        w.key("state").value(jobStateName(entry.state));
+        w.key("name").value(entry.name);
+        w.key("pure").value(entry.pure);
     });
 }
 

@@ -14,13 +14,13 @@
  *
  *   cmd            request fields        response fields
  *   ----------     -------------------   ------------------------------
- *   hello          proto [, min_proto,   proto, server, features[],
- *                  client]               max_line_bytes, ... limits
+ *   hello          proto [, client]      proto, server, max_line_bytes,
+ *                                        ... limits
  *   ping                                 version
  *   health                               uptime/queue/pool/cache census
  *   submit         spec [, idem_key,     id, cached-eligible "pure",
  *                  deadline_ms]          duplicate (idempotent replay)
- *   status         [id]                  one job / queue counters
+ *   status         id                    state, name, pure
  *   result         id [, wait, wait_ms]  state, stats summary, stats_hex
  *   cancel         id                    cancelled
  *   drain          [on]                  draining
@@ -36,14 +36,12 @@
  *
  * Remote hardening (DESIGN.md §13): the daemon can additionally
  * listen on TCP (ServerConfig::listenAddr) for genuinely remote
- * clients; both transports carry the same protocol. A connection
- * should open with "hello" — the versioned handshake that negotiates
- * the protocol revision and advertises feature flags ("idempotency",
- * "deadline", "long-poll", "health") and limits, replacing the old
- * implicit version stamp; a peer asking for a revision the server
- * cannot serve gets a structured "unsupported-proto" error instead of
- * undefined behavior, and a legacy peer that never says hello is
- * served at protocol 1 semantics. Submission is idempotent
+ * clients; both transports carry the same protocol. There is one
+ * protocol revision, kProtoRevision. "hello" checks it and reports
+ * the daemon's limits; a peer naming any other revision gets a
+ * structured "unsupported-proto" error and the connection stays open.
+ * The server keeps no protocol state per connection, so a command is
+ * served the same with or without a prior hello. Submission is idempotent
  * end-to-end: a client-generated "idem_key" dedupes retried submits
  * against live jobs and the journal, so a retry after a dropped
  * response returns the original job id instead of double-executing.
@@ -103,16 +101,11 @@ namespace mtfpu::service
 {
 
 /**
- * Protocol revisions (DESIGN.md §13.2). Revision 1 is the PR 6 wire:
- * implicit versioning via ping, no handshake. Revision 2 adds the
- * hello handshake, idempotent submits, deadline propagation,
- * long-poll results, and the health probe. The server still serves
- * revision-1 peers (every revision-2 field is additive), so kProtoMin
- * stays at 1; a future incompatible revision raises it and mismatched
- * peers get a structured rejection instead of undefined behavior.
+ * The wire protocol revision (DESIGN.md §13.2). Daemon and client are
+ * built from the same tree, so there is exactly one: hello accepts
+ * this value and answers any other with "unsupported-proto".
  */
 constexpr int kProtoRevision = 2;
-constexpr int kProtoMin = 1;
 
 struct ServerConfig
 {
@@ -136,10 +129,6 @@ struct ServerConfig
 
     /** Crash-report directory for quarantined jobs; empty disables. */
     std::string crashDir;
-
-    /** In-process memoization inside the driver (kept on for parity
-     *  with batch runs; the on-disk cache is separate). */
-    bool memoize = true;
 
     /**
      * Force in-process execution (the pre-isolation scheduling path
@@ -275,14 +264,6 @@ class SimServer
         std::unique_ptr<machine::Machine> machine;
     };
 
-    /** Per-connection negotiated state (the hello handshake). */
-    struct Conn
-    {
-        uint64_t id = 0;   // monotonic connection id (client cap)
-        int proto = 1;     // negotiated protocol revision
-        bool saidHello = false;
-    };
-
     void acceptLoop();
     void workerLoop();
     void handleConnection(int fd);
@@ -299,15 +280,15 @@ class SimServer
     /** Re-queue journaled jobs that were in flight at the last exit. */
     void recoverJournal();
 
-    /** Dispatch one request line; returns the response line. @p conn
-     *  carries the connection's identity (for the per-client in-flight
-     *  cap) and its negotiated handshake state. */
-    std::string handleRequest(const std::string &line, Conn &conn);
+    /** Dispatch one request line; returns the response line.
+     *  @p conn_id is the connection's monotonic id, for the per-client
+     *  in-flight cap. */
+    std::string handleRequest(const std::string &line, uint64_t conn_id);
 
-    std::string cmdHello(const json::Value &req, Conn &conn);
+    std::string cmdHello(const json::Value &req);
     std::string cmdPing();
     std::string cmdHealth();
-    std::string cmdSubmit(const json::Value &req, const Conn &conn);
+    std::string cmdSubmit(const json::Value &req, uint64_t conn_id);
     std::string cmdStatus(const json::Value &req);
     std::string cmdResult(const json::Value &req);
     std::string cmdCancel(const json::Value &req);

@@ -118,8 +118,10 @@ roundPack(bool sign, int32_t e, uint64_t sig, Flags &flags)
 uint64_t
 fpIntMul(uint64_t a, uint64_t b)
 {
-    return static_cast<uint64_t>(static_cast<int64_t>(a) *
-                                 static_cast<int64_t>(b));
+    // The low 64 bits of a two's-complement product do not depend on
+    // signedness; unlike the signed multiply, the unsigned one wraps
+    // without undefined behaviour.
+    return a * b;
 }
 
 uint64_t

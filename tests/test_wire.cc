@@ -1,10 +1,10 @@
 /**
  * @file
  * Remote-transport hardening tests (DESIGN.md §13): TCP listener
- * parity with the Unix socket, the versioned hello handshake
- * (negotiation, downgrade, structured rejection), malformed-frame
- * handling (binary garbage, truncated JSON, torn UTF-8, oversize
- * lines) without leaking connection slots, idle reaping and the
+ * parity with the Unix socket, the hello version check (one revision,
+ * structured rejection of any other), malformed-frame handling
+ * (binary garbage, truncated JSON, torn UTF-8, oversize lines,
+ * unmappable memory) without leaking connection slots, idle reaping and the
  * max-connections cap, end-to-end idempotent submission (live dedupe
  * and journal-recovered dedupe), client deadline shedding, long-poll
  * result waits, the health probe, and the seeded chaos proxy — a
@@ -108,8 +108,10 @@ slowSpec(int outer, int inner)
     return spec;
 }
 
-/** A raw wire connection below SimClient: no handshake, no retry —
- *  for speaking protocol 1, torn frames, and hostile bytes. */
+/** A raw wire connection below SimClient: no hello, no retry — for
+ *  torn frames and hostile bytes. The server keeps no per-connection
+ *  protocol state, so commands sent without a hello are served by the
+ *  same code as a SimClient's. */
 class RawConn
 {
   public:
@@ -149,6 +151,14 @@ struct TcpServer
 
     service::SimServer server;
 };
+
+/** Every job the daemon knows, from a health reply's census. */
+uint64_t
+jobCount(const json::Value &health)
+{
+    return health.at("queued").asUint() + health.at("running").asUint() +
+           health.at("done").asUint() + health.at("cancelled").asUint();
+}
 
 service::ServerConfig
 tcpConfig()
@@ -232,45 +242,30 @@ TEST(Wire, HelloNegotiatesCurrentRevision)
     ASSERT_TRUE(reply.at("ok").asBool());
     EXPECT_EQ(reply.at("proto").asUint(), 2u);
     EXPECT_EQ(reply.at("server").asString(), "mtfpu-simserver");
-    ASSERT_TRUE(reply.has("features"));
-    bool sawIdem = false, sawLongPoll = false;
-    for (const json::Value &f : reply.at("features").asArray()) {
-        sawIdem |= f.asString() == "idempotency";
-        sawLongPoll |= f.asString() == "long-poll";
-    }
-    EXPECT_TRUE(sawIdem);
-    EXPECT_TRUE(sawLongPoll);
     EXPECT_TRUE(reply.has("max_line_bytes"));
-}
-
-TEST(Wire, HelloDowngradesToOldPeerRevision)
-{
-    TcpServer tcp(tcpConfig());
-    RawConn conn(tcp.address());
-    const json::Value reply =
-        conn.roundTrip("{\"cmd\":\"hello\",\"proto\":1}");
-    ASSERT_TRUE(reply.at("ok").asBool());
-    EXPECT_EQ(reply.at("proto").asUint(), 1u);
-    // Revision-1 peers don't know the feature vocabulary.
-    EXPECT_FALSE(reply.has("features"));
+    EXPECT_TRUE(reply.has("idle_timeout_ms"));
+    EXPECT_TRUE(reply.has("max_queue"));
+    EXPECT_TRUE(reply.has("max_inflight_per_client"));
 }
 
 TEST(Wire, HelloRejectsUnsupportedRevisionWithStructuredError)
 {
     TcpServer tcp(tcpConfig());
     RawConn conn(tcp.address());
-    // A future peer that refuses to speak anything below 99.
-    const json::Value reply = conn.roundTrip(
-        "{\"cmd\":\"hello\",\"proto\":99,\"min_proto\":99}");
-    ASSERT_FALSE(reply.at("ok").asBool());
-    EXPECT_EQ(reply.at("error_code").asString(), "unsupported-proto");
-    EXPECT_EQ(reply.at("proto_min").asUint(),
-              static_cast<uint64_t>(service::kProtoMin));
-    EXPECT_EQ(reply.at("proto_max").asUint(),
-              static_cast<uint64_t>(service::kProtoRevision));
+    // Any revision but the one the server speaks is refused, older
+    // (1) and newer (99) alike, and the connection survives each
+    // rejection.
+    for (const char *proto : {"1", "99"}) {
+        SCOPED_TRACE(proto);
+        const json::Value reply = conn.roundTrip(
+            std::string("{\"cmd\":\"hello\",\"proto\":") + proto + "}");
+        ASSERT_FALSE(reply.at("ok").asBool());
+        EXPECT_EQ(reply.at("error_code").asString(), "unsupported-proto");
+        EXPECT_TRUE(
+            conn.roundTrip("{\"cmd\":\"ping\"}").at("ok").asBool());
+    }
 
-    // The connection survives the rejection: the peer may retry an
-    // acceptable revision rather than redialing.
+    // The peer may retry the supported revision rather than redialing.
     const json::Value retry =
         conn.roundTrip("{\"cmd\":\"hello\",\"proto\":2}");
     EXPECT_TRUE(retry.at("ok").asBool());
@@ -286,35 +281,40 @@ TEST(Wire, HelloWithoutProtoIsBadOperand)
               errCodeName(ErrCode::BadOperand));
 }
 
-TEST(Wire, LegacyPeerWithoutHelloIsServed)
+TEST(Wire, ClientRejectedAtHelloThrowsIo)
 {
-    // The PR 6/7/8 client never says hello; the daemon must keep
-    // serving it at revision-1 semantics.
-    TcpServer tcp(tcpConfig());
-    RawConn conn(tcp.address());
-    const json::Value pong = conn.roundTrip("{\"cmd\":\"ping\"}");
-    EXPECT_TRUE(pong.at("ok").asBool());
-    const json::Value sub = conn.roundTrip(
-        "{\"cmd\":\"submit\",\"spec\":" + countdownSpec(50).to_json() +
-        "}");
-    ASSERT_TRUE(sub.at("ok").asBool());
-    const json::Value res = conn.roundTrip(
-        "{\"cmd\":\"result\",\"id\":" +
-        std::to_string(sub.at("id").asUint()) + ",\"wait\":true}");
-    EXPECT_TRUE(res.at("ok").asBool());
-    EXPECT_EQ(res.at("state").asString(), "done");
+    // A peer that answers hello with an error, here the generic one a
+    // daemon without the command would send: construction fails with
+    // a transport-level error instead of talking on regardless.
+    TempDir dir("hello_refused");
+    const std::string path = dir.file("refuse.sock");
+    const int listener = service::listenUnix(path);
+    std::thread refuser([listener] {
+        service::LineChannel peer(::accept(listener, nullptr, nullptr));
+        std::string hello;
+        if (peer.readLine(hello))
+            peer.writeLine(
+                service::errorResponse("unknown command 'hello'"));
+    });
+    try {
+        service::SimClient client(path);
+        ADD_FAILURE() << "hello refusal was not reported";
+    } catch (const SimError &err) {
+        EXPECT_EQ(err.code(), ErrCode::Io);
+    }
+    refuser.join();
+    ::close(listener);
 }
 
-TEST(Wire, ClientNegotiatesFeaturesOnConnect)
+TEST(Wire, StatusWithoutIdIsBadOperand)
 {
+    // The daemon-wide census is health; status answers for one job.
     TcpServer tcp(tcpConfig());
-    service::SimClient client(tcp.address());
-    EXPECT_EQ(client.proto(), service::kProtoRevision);
-    EXPECT_TRUE(client.hasFeature("idempotency"));
-    EXPECT_TRUE(client.hasFeature("deadline"));
-    EXPECT_TRUE(client.hasFeature("long-poll"));
-    EXPECT_TRUE(client.hasFeature("health"));
-    EXPECT_FALSE(client.hasFeature("time-travel"));
+    RawConn conn(tcp.address());
+    const json::Value reply = conn.roundTrip("{\"cmd\":\"status\"}");
+    ASSERT_FALSE(reply.at("ok").asBool());
+    EXPECT_EQ(reply.at("error_code").asString(),
+              errCodeName(ErrCode::BadOperand));
 }
 
 // ------------------------------------------------------ malformed frames
@@ -345,6 +345,26 @@ TEST(Wire, MalformedFramesGetStructuredErrorsWithoutKillingConn)
     // The same connection still serves well-formed requests: no state
     // was poisoned, no slot leaked.
     EXPECT_TRUE(conn.roundTrip("{\"cmd\":\"ping\"}").at("ok").asBool());
+}
+
+TEST(Wire, UnmappableMemorySubmitIsMemRangeAndDaemonSurvives)
+{
+    // A spec asking for 2^62 bytes of main memory cannot be mapped.
+    // The submit is refused with a structured error; the daemon stays
+    // up for the next request.
+    TcpServer tcp(tcpConfig());
+    service::SimClient client(tcp.address());
+    service::JobSpec spec;
+    spec.kind = service::JobKind::Kernel;
+    spec.kernel = "lfk01:vector";
+    spec.config.memory.memBytes = size_t{1} << 62;
+    try {
+        client.submit(spec);
+        ADD_FAILURE() << "unmappable memory was accepted";
+    } catch (const SimError &err) {
+        EXPECT_EQ(err.code(), ErrCode::MemRange) << err.what();
+    }
+    EXPECT_TRUE(client.ping());
 }
 
 TEST(Wire, PrematureEofMidRequestFreesTheSlot)
@@ -490,8 +510,7 @@ TEST(Wire, DuplicateIdemKeyReplaysOriginalJobWithoutReExecuting)
     EXPECT_NE(third.at("id").asUint(), id);
 
     // Exactly two jobs exist — the replay created nothing.
-    const json::Value status = conn.roundTrip("{\"cmd\":\"status\"}");
-    EXPECT_EQ(status.at("jobs").asUint(), 2u);
+    EXPECT_EQ(jobCount(conn.roundTrip("{\"cmd\":\"health\"}")), 2u);
 }
 
 TEST(Wire, IdemKeysSurviveJournalRecovery)
@@ -731,9 +750,9 @@ TEST(Wire, ChaosSweepBitIdenticalWithZeroDuplicateExecutions)
     // retry was deduped onto an existing job, so exactly 21 jobs
     // exist, all done.
     RawConn quiet(tcp.address());
-    const json::Value status = quiet.roundTrip("{\"cmd\":\"status\"}");
-    EXPECT_EQ(status.at("jobs").asUint(), specs.size());
-    EXPECT_EQ(status.at("done").asUint(), specs.size());
+    const json::Value health = quiet.roundTrip("{\"cmd\":\"health\"}");
+    EXPECT_EQ(jobCount(health), specs.size());
+    EXPECT_EQ(health.at("done").asUint(), specs.size());
 
     // The journal agrees: one accept line per idempotency key, and
     // every accepted job reached done — the on-disk proof there was

@@ -18,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include <csignal>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -131,8 +132,12 @@ TEST(Supervisor, ClassifiesRealChildExits)
     };
 
     pid_t pid = ::fork();
-    if (pid == 0)
-        ::raise(SIGSEGV);
+    if (pid == 0) {
+        // Die by the signal itself: a sanitizer runtime installs its
+        // own SIGSEGV handler, which would turn this into an exit code.
+        std::signal(SIGSEGV, SIG_DFL);
+        std::raise(SIGSEGV);
+    }
     service::CrashInfo segv = service::classifyExit(waitFor(pid));
     EXPECT_EQ(segv.code, ErrCode::WorkerCrash);
     EXPECT_EQ(segv.signal, "SIGSEGV");
